@@ -1,12 +1,20 @@
-"""Canvas JSON interpreter: run the reference's OWN DSL files.
+"""Canvas JSON interpreter: run graphs written in the reference's DSL.
 
 ``pipelines.spec`` is the engine's native (linear, validated) pipeline
-surface; this module is the COMPATIBILITY surface — it loads the graph
-JSON the reference ships (components + upstream/downstream edges,
-/root/reference/agent/canvas.py:101-126) and executes one user turn at
-a time by walking the edges, with the same deterministic doubles the
-conformance pipelines use for LLM-backed nodes. Routing semantics
-follow the reference:
+surface; this module is the COMPATIBILITY surface — it loads graph JSON
+in the reference's canvas DSL (components + upstream/downstream edges,
+reference canvas.py:101-126) and executes one user turn at a time by
+walking the edges, with the same deterministic doubles the conformance
+pipelines use for LLM-backed nodes.
+
+``GRAPHS_DIR`` (``canvas_graphs/{dsl_examples,templates}/`` next to this
+module) holds small in-repo reconstructions of the reference graphs the
+routing tests and the ``canvas_customer_service`` query run. They are
+written from the DSL shape and the component contracts cited below, not
+copied from the reference's files; only the whole-corpus sweep in
+tests/test_canvas.py reads the reference checkout itself, and it is
+skipped where that checkout is absent. Routing semantics follow the
+reference:
 
 * Categorize picks the best-scoring ``category_description`` entry
   (keyword-count argmax over name+description+examples tokens,
@@ -39,11 +47,15 @@ pipelines show the fully data-parallel forms of the same graphs).
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 from collections import Counter
 
-__all__ = ["CanvasSession", "load_canvas", "run_canvas"]
+__all__ = ["GRAPHS_DIR", "CanvasSession", "load_canvas", "run_canvas"]
+
+GRAPHS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "canvas_graphs")
 
 _SLOT_RE = re.compile(r"\{([A-Za-z0-9_:@-]+)\}")
 _MAX_STEPS = 24  # hard backstop on top of suffix-pattern detection
@@ -496,7 +508,7 @@ class CanvasSession:
 def run_canvas(path_or_dict, sf_dir: str | None = None,
                user_inputs: list[str] | None = None,
                llm_overrides: dict | None = None, seed: int = 0) -> list[dict]:
-    """Execute a reference canvas JSON, one dict per user turn:
+    """Execute a canvas JSON, one dict per user turn:
     {"turn", "input", "answer", "path": [component ids visited]}.
     Convenience wrapper over ``CanvasSession`` (which adds per-turn
     snapshot/reload)."""

@@ -1,22 +1,36 @@
-"""Canvas interpreter conformance: the reference's OWN DSL files
-(test/dsl_examples/*.json, templates/*.json) loaded and executed by
-raydoc.pipelines.canvas."""
+"""Canvas interpreter conformance: DSL graphs loaded and executed by
+raydoc.pipelines.canvas.
+
+The routing tests run the in-repo reconstructions under
+raydoc/pipelines/canvas_graphs/ (same file names as the reference's
+test/dsl_examples/*.json and templates/*.json, written from the DSL
+shape, not copied). Only ``test_every_reference_graph_executes`` runs
+the reference's own 25 files; it needs the reference checkout and is
+skipped where that directory is absent."""
 
 import glob
 import os
 
 import pytest
 
-SF = "/root/testdata/sf0.001"
-DSL_DIR = "/root/reference/agent/test/dsl_examples"
-TPL_DIR = "/root/reference/agent/templates"
+from raydoc.pipelines.canvas import GRAPHS_DIR
 
-ALL_GRAPHS = sorted(glob.glob(f"{DSL_DIR}/*.json")
-                    + glob.glob(f"{TPL_DIR}/*.json"))
+SF = "/root/testdata/sf0.001"
+DSL_DIR = os.path.join(GRAPHS_DIR, "dsl_examples")
+TPL_DIR = os.path.join(GRAPHS_DIR, "templates")
+
+REF_DIR = "/root/reference/agent"
+REF_DSL_DIR = f"{REF_DIR}/test/dsl_examples"
+REF_TPL_DIR = f"{REF_DIR}/templates"
+
+ALL_GRAPHS = sorted(glob.glob(f"{REF_DSL_DIR}/*.json")
+                    + glob.glob(f"{REF_TPL_DIR}/*.json"))
 
 
 @pytest.mark.usefixtures("ray_session")
 class TestCanvasInterpreter:
+    @pytest.mark.skipif(not os.path.isdir(REF_DIR),
+                        reason=f"reference checkout {REF_DIR} not present")
     def test_every_reference_graph_executes(self):
         from raydoc.pipelines.canvas import run_canvas
 

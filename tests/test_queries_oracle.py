@@ -60,6 +60,9 @@ NEW_QUERIES = [
     "docs_robots_filter",
     "docs_canonical_dedup",
     "events_value_ks",
+    # the customer-service canvas over the in-repo graph against its
+    # literal golden (documented identical at sf0.001 and sf0.01)
+    "canvas_customer_service",
 ]
 
 
